@@ -10,12 +10,30 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 PROFILE=()
+PROF=debug
 if [[ "${1:-}" == "--release" ]]; then
     PROFILE=(--release)
+    PROF=release
 elif [[ $# -gt 0 ]]; then
     echo "usage: $0 [--release]" >&2
     exit 2
 fi
+
+# double_run PROF PKG BIN [BETWEEN]: build BIN from PKG into target/PROF,
+# run it twice with stdout captured to /tmp/BIN.ci.{a,b}.txt (stderr may
+# carry timing diagnostics and is dropped), and fail unless the two
+# captures are byte-identical. BETWEEN names a command to run between the
+# two runs (e.g. to snapshot an artifact the first run wrote).
+double_run() {
+    local prof=$1 pkg=$2 bin=$3 between=${4:-true}
+    local flags=()
+    [[ "$prof" == release ]] && flags=(--release)
+    cargo build -q -p "$pkg" "${flags[@]}" --bin "$bin"
+    "target/$prof/$bin" > "/tmp/$bin.ci.a.txt" 2> /dev/null
+    "$between"
+    "target/$prof/$bin" > "/tmp/$bin.ci.b.txt" 2> /dev/null
+    diff -q "/tmp/$bin.ci.a.txt" "/tmp/$bin.ci.b.txt"
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -66,71 +84,37 @@ echo "==> trace determinism (byte-identical trace_json + metrics_csv)"
 cargo test -q -p megammap "${PROFILE[@]}" --test trace_determinism
 
 echo "==> mm_trace smoke run (deterministic Perfetto trace)"
-cargo build -q -p megammap-bench "${PROFILE[@]}" --bin mm_trace
-if [[ "${1:-}" == "--release" ]]; then
-    MM_TRACE_BIN=target/release/mm_trace
-else
-    MM_TRACE_BIN=target/debug/mm_trace
-fi
-"$MM_TRACE_BIN" > /tmp/mm_trace.ci.a.txt
-cp results/mm_trace.perfetto.json /tmp/mm_trace.ci.a.json
-"$MM_TRACE_BIN" > /tmp/mm_trace.ci.b.txt
-diff -q /tmp/mm_trace.ci.a.txt /tmp/mm_trace.ci.b.txt
+snapshot_trace() { cp results/mm_trace.perfetto.json /tmp/mm_trace.ci.a.json; }
+double_run "$PROF" megammap-bench mm_trace snapshot_trace
 diff -q /tmp/mm_trace.ci.a.json results/mm_trace.perfetto.json
 python3 -c "import json,sys; d=json.load(open('results/mm_trace.perfetto.json')); sys.exit(0 if d['traceEvents'] else 1)" \
     || { echo "mm_trace emitted an empty or invalid Perfetto trace" >&2; exit 1; }
 
 echo "==> mm_report determinism (byte-identical stdout under real concurrency)"
-cargo build -q -p megammap-bench "${PROFILE[@]}" --bin mm_report
-if [[ "${1:-}" == "--release" ]]; then
-    MM_REPORT_BIN=target/release/mm_report
-else
-    MM_REPORT_BIN=target/debug/mm_report
-fi
 # Guards the report's filtering of order-dependent quantities (histogram
 # sums, modeled lock waits): only conserved counters may reach stdout.
-"$MM_REPORT_BIN" > /tmp/mm_report.ci.a.txt 2> /dev/null
-"$MM_REPORT_BIN" > /tmp/mm_report.ci.b.txt 2> /dev/null
-diff -q /tmp/mm_report.ci.a.txt /tmp/mm_report.ci.b.txt
+double_run "$PROF" megammap-bench mm_report
 
 echo "==> mm_chaos scenario matrix (fault runs must bit-match fault-free runs)"
-cargo build -q -p megammap-chaos "${PROFILE[@]}" --bin mm_chaos
-if [[ "${1:-}" == "--release" ]]; then
-    MM_CHAOS_BIN=target/release/mm_chaos
-else
-    MM_CHAOS_BIN=target/debug/mm_chaos
-fi
 # Same seed twice: every scenario must pass AND stdout must be
 # byte-identical (the whole point of virtual-clock fault injection).
-"$MM_CHAOS_BIN" > /tmp/mm_chaos.ci.a.txt 2> /dev/null
-"$MM_CHAOS_BIN" > /tmp/mm_chaos.ci.b.txt 2> /dev/null
-diff -q /tmp/mm_chaos.ci.a.txt /tmp/mm_chaos.ci.b.txt
+double_run "$PROF" megammap-chaos mm_chaos
 
 echo "==> mm_serve QoS scenario (deterministic double run + verdict)"
-cargo build -q -p megammap-serve "${PROFILE[@]}" --bin mm_serve
-if [[ "${1:-}" == "--release" ]]; then
-    MM_SERVE_BIN=target/release/mm_serve
-else
-    MM_SERVE_BIN=target/debug/mm_serve
-fi
 # Same seed twice: exit 0 means the QoS verdict passed (interactive fault
 # p99 strictly better than --no-qos, budgets held); stdout must be
-# byte-identical across the runs (stderr may carry timing diagnostics).
-"$MM_SERVE_BIN" > /tmp/mm_serve.ci.a.txt 2> /dev/null
-"$MM_SERVE_BIN" > /tmp/mm_serve.ci.b.txt 2> /dev/null
-diff -q /tmp/mm_serve.ci.a.txt /tmp/mm_serve.ci.b.txt
+# byte-identical across the runs.
+double_run "$PROF" megammap-serve mm_serve
 
 echo "==> mm_serve telemetry overhead (< 2% on the serving fast path)"
-"$MM_SERVE_BIN" --overhead-check
+"target/$PROF/mm_serve" --overhead-check
 
 echo "==> mm_scope observatory (same-seed double run, byte-identical report)"
 # The contention/hot-spot report is deterministic by construction
 # (barrier-serialized, virtual-time counters only); the binary itself
 # exits non-zero unless the seeded hot page tops the heavy-hitter sketch.
-cargo build -q --release -p megammap-bench --bin mm_scope
-target/release/mm_scope > /tmp/mm_scope.ci.a.txt 2> /dev/null
-target/release/mm_scope > /tmp/mm_scope.ci.b.txt 2> /dev/null
-diff -q /tmp/mm_scope.ci.a.txt /tmp/mm_scope.ci.b.txt
+# Always a release build, whatever the CI profile.
+double_run release megammap-bench mm_scope
 
 echo "==> lock-graph cross-check (observed lock edges ⊆ static graph)"
 # The static analyzer claims to over-approximate runtime lock nesting;
@@ -143,20 +127,12 @@ diff -q /tmp/mm_scope.ci.a.txt /tmp/mm_scope.ci.c.txt
 cargo run -q -p mm-lint "${PROFILE[@]}" -- --root . crosscheck /tmp/mm_scope.ci.edges.json
 
 echo "==> mm_ann search sweep (deterministic double run + recall floors)"
-cargo build -q -p megammap-ann "${PROFILE[@]}" --bin mm_ann
-if [[ "${1:-}" == "--release" ]]; then
-    MM_ANN_BIN=target/release/mm_ann
-else
-    MM_ANN_BIN=target/debug/mm_ann
-fi
 # Exit 0 means the recall floors held (flat recall@10 >= 0.90 at the
 # default config, PQ recall@10 >= 0.85 at the smallest pcache cap) and the
 # smallest cap showed the flat-thrashes-while-PQ-sustains contrast; stdout
 # must be byte-identical across the two runs (virtual time + conserved
 # counters only).
-"$MM_ANN_BIN" > /tmp/mm_ann.ci.a.txt 2> /dev/null
-"$MM_ANN_BIN" > /tmp/mm_ann.ci.b.txt 2> /dev/null
-diff -q /tmp/mm_ann.ci.a.txt /tmp/mm_ann.ci.b.txt
+double_run "$PROF" megammap-ann mm_ann
 
 echo "==> cargo bench --no-run (benches must compile)"
 cargo bench --workspace --no-run

@@ -32,7 +32,7 @@ pub trait PrefetchEnv {
     fn cur(&self) -> u64;
     /// Bytes held by reclaimable pages (consumed or left over from earlier
     /// transactions); counted as free space for prefetching, since
-    /// [`issue_prefetch`](Self::issue_prefetch) may evict them.
+    /// [`issue_prefetch_run`](Self::issue_prefetch_run) may evict them.
     fn reclaimable(&self) -> u64 {
         0
     }
@@ -50,17 +50,11 @@ pub trait PrefetchEnv {
     fn evict(&mut self, page: u64);
     /// Whether `page` is already resident (or in flight) in the pcache.
     fn resident(&self, page: u64) -> bool;
-    /// Issue an asynchronous pcache fetch for `page` (score-1 pages).
-    fn issue_prefetch(&mut self, page: u64);
-    /// Issue a contiguous run of `count` fetches starting at `first` as one
-    /// batched submission. Environments that can amortize the runtime
-    /// crossing override this (the pcache submits the run as a single
-    /// shard-batch); the default degrades to per-page issues.
-    fn issue_prefetch_run(&mut self, first: u64, count: u64) {
-        for page in first..first + count {
-            self.issue_prefetch(page);
-        }
-    }
+    /// Issue asynchronous pcache fetches for the `count` contiguous
+    /// score-1 pages starting at `first` as one batched submission (the
+    /// pcache submits the run as a single shard-batch; a lone page is a
+    /// run of length 1).
+    fn issue_prefetch_run(&mut self, first: u64, count: u64);
 }
 
 /// Run one prefetcher pass (paper Algorithm 1: `Prefetcher`).
@@ -240,14 +234,11 @@ mod tests {
         fn resident(&self, page: u64) -> bool {
             self.resident.contains(&page)
         }
-        fn issue_prefetch(&mut self, page: u64) {
-            self.resident.insert(page);
-            self.prefetched.push(page);
-        }
         fn issue_prefetch_run(&mut self, first: u64, count: u64) {
             self.runs.push((first, count));
             for page in first..first + count {
-                self.issue_prefetch(page);
+                self.resident.insert(page);
+                self.prefetched.push(page);
             }
         }
     }

@@ -117,7 +117,10 @@ fn loom_commit_patch_vs_emergency_drain_keeps_the_patch() {
         // backend and staged back in), the patched range must survive.
         // Only the patched bytes are asserted: if the drain evicted the
         // page *before* the patch, the re-installed page has a zero base.
-        let (data, _) = rt.read_page(2_000_000, &m, 0, 0, None, false).unwrap();
+        let (data, _) = rt
+            .read_page_run_traced(2_000_000, &m, 0, 1, 0, None, false, TraceCtx::NONE)
+            .unwrap()
+            .remove(0);
         assert!(data[64..128].iter().all(|&b| b == 0x77), "patch lost by drain race");
     });
 }
@@ -175,8 +178,9 @@ fn loom_ownership_transfer_vs_batched_fault_sees_untorn_pages() {
         });
         let rt2 = rt.clone();
         let m2 = Arc::clone(&m);
-        let reader =
-            loom::thread::spawn(move || rt2.read_page_run(1_000, &m2, 0, 2, 0, None).unwrap());
+        let reader = loom::thread::spawn(move || {
+            rt2.read_page_run_traced(1_000, &m2, 0, 2, 0, None, false, TraceCtx::NONE).unwrap()
+        });
         let pages = reader.join().unwrap();
         xfer.join().unwrap();
 

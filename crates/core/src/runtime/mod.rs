@@ -783,83 +783,6 @@ impl Runtime {
         Some((data, done))
     }
 
-    /// Serve a page read for a process on `my_node` at virtual time `now`.
-    ///
-    /// Returns the full page as a refcounted [`Bytes`] view — the caller
-    /// shares the scache's allocation rather than receiving a copy — plus
-    /// the virtual completion time. If `prefetch` is true the read is
-    /// asynchronous (issued now, completing at the returned time) and
-    /// counted as a prefetch. `collective` holds the group size when the
-    /// transaction carries the Collective hint.
-    #[cfg(test)]
-    pub(crate) fn read_page(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-    ) -> Result<(Bytes, SimTime)> {
-        self.read_page_traced(now, meta, page, my_node, collective, prefetch, TraceCtx::NONE)
-    }
-
-    /// [`read_page`](Self::read_page) with a live causal trace context:
-    /// every stage the fault passes through (queue wait, tier read, net
-    /// hop, backend read) is recorded as a child span of `ctx`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn read_page_traced(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
-        let out = self.read_page_impl(now, meta, page, my_node, collective, prefetch, ctx)?;
-        let kind = if prefetch { EventKind::PrefetchIssue } else { EventKind::PageFault };
-        self.inner.telemetry.span(kind, now, out.1, my_node as u32, out.0.len() as u64, page);
-        Ok(out)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn read_page_impl(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        page: u64,
-        my_node: usize,
-        collective: Option<usize>,
-        prefetch: bool,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
-        self.poll_chaos(now);
-        let s = &self.inner.stats;
-        if prefetch {
-            s.prefetches.inc();
-        } else {
-            s.faults.inc();
-            s.faults_by_policy[meta.policy.lock().index()].inc();
-            // Reaching here means the ownership fast path did not apply
-            // (or was not attempted, e.g. a coalesced run): this fault
-            // pays a runtime crossing.
-            s.owner_misses.inc();
-        }
-        self.inner.telemetry.hot_pages().record(meta.id, page, 1);
-        let id = BlobId::new(meta.id, page);
-        let t = now + TASK_CONSTRUCT_NS;
-        if let Some(node) = self.inner.dir.nearest_copy(id, my_node) {
-            match self.read_from_node(t, meta, id, node, my_node, collective, ctx) {
-                Ok(r) => return Ok(r),
-                Err(MmError::Capacity(_)) => { /* raced with removal; fall through */ }
-                Err(e) => return Err(e),
-            }
-        }
-        self.fault_absent(t, meta, page, my_node, collective, ctx)
-    }
-
     /// Serve a page that is resident nowhere: stage in from the backend or
     /// synthesize a fresh zero page (no worker dispatch — the stager path
     /// charges the PFS device directly).
@@ -894,91 +817,26 @@ impl Runtime {
         Ok((data, ready))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn read_from_node(
-        &self,
-        t: SimTime,
-        meta: &VectorMeta,
-        id: BlobId,
-        node: usize,
-        my_node: usize,
-        collective: Option<usize>,
-        ctx: TraceCtx,
-    ) -> Result<(Bytes, SimTime)> {
-        let bytes_hint = meta.page_size;
-        self.inner.nodes[node].touches.inc();
-        let ws = self.dispatch(node, id, bytes_hint, t, 0, ctx);
-        let (data, dev_done) =
-            self.inner.nodes[node].dmsh.get_traced(ws, id, ctx).map_err(|e| match e {
-                DmshError::NotFound(_) => MmError::Capacity("page vanished".into()),
-                other => MmError::from(other),
-            })?;
-        if node == my_node {
-            self.inner.stats.local_reads.inc();
-            return Ok((data, dev_done));
-        }
-        let done = self.finish_remote(
-            dev_done,
-            meta,
-            id,
-            node,
-            my_node,
-            data.len() as u64,
-            collective,
-            ctx,
-        );
-        // Replicate locally under the Read-Only Global policy so future
-        // reads are node-local. The replica shares the same storage as the
-        // caller's view (an O(1) refcount bump, not a copy).
-        if meta.policy.lock().replicates()
-            && self.inner.nodes[my_node]
-                .dmsh
-                .put(done, id, data.clone(), 0.8, my_node, false)
-                .is_ok()
-        {
-            // Register the replica only if the local install succeeded; a
-            // full DMSH just means the next read stays remote.
-            self.inner.dir.add_replica(id, my_node);
-        }
-        Ok((data, done))
-    }
-
-    /// Serve `count` contiguous page reads starting at `first` as ranged
-    /// MemoryTasks (fault coalescing): pages resident on the same holder
-    /// node share one task construction + one worker dispatch and come back
-    /// as zero-copy [`Bytes`] views, so per-task dispatch latency is paid
-    /// once per run instead of once per page. The first page is the
-    /// synchronous fault; the extras are counted as prefetches (they arrive
-    /// ahead of their access) plus `runtime.coalesced_faults`.
-    #[cfg(test)]
-    #[allow(dead_code)]
-    pub(crate) fn read_page_run(
-        &self,
-        now: SimTime,
-        meta: &VectorMeta,
-        first: u64,
-        count: u64,
-        my_node: usize,
-        collective: Option<usize>,
-    ) -> Result<Vec<(Bytes, SimTime)>> {
-        self.read_page_run_traced(
-            now,
-            meta,
-            first,
-            count,
-            my_node,
-            collective,
-            false,
-            TraceCtx::NONE,
-        )
-    }
-
-    /// [`read_page_run`](Self::read_page_run) with a live causal trace
-    /// context; each same-holder slice of the run lands as a
-    /// [`Stage::CoalesceRun`] child span. With `prefetch` set the whole run
-    /// is an asynchronous prefetcher batch — every page bills as a
-    /// prefetch, none as a synchronous fault — but it still pays (and
-    /// counts) the same single batched crossing.
+    /// Serve `count` contiguous page reads starting at `first` for a
+    /// process on `my_node` at virtual time `now` — the one way a fault or
+    /// prefetch crosses into the runtime (a single-page fault is a run of
+    /// length 1; [`read_page_fast`](Self::read_page_fast) is the only
+    /// special case). Pages come back as refcounted [`Bytes`] views — the
+    /// caller shares the scache's allocation rather than receiving a copy —
+    /// each with its virtual completion time. `collective` holds the group
+    /// size when the transaction carries the Collective hint.
+    ///
+    /// Pages resident on the same holder node share one task construction
+    /// and one worker dispatch (fault coalescing), so per-task dispatch
+    /// latency is paid once per run instead of once per page. The first
+    /// page is the synchronous fault; the extras are counted as prefetches
+    /// (they arrive ahead of their access) plus `runtime.coalesced_faults`.
+    /// With `prefetch` set the whole run is an asynchronous prefetcher
+    /// batch — every page bills as a prefetch, none as a synchronous fault
+    /// — but it still pays (and counts) the same single batched crossing.
+    /// Every stage the read passes through (queue wait, tier read, net
+    /// hop, backend read) is recorded as a child span of `ctx`; each
+    /// multi-page same-holder slice lands as a [`Stage::CoalesceRun`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn read_page_run_traced(
         &self,
@@ -999,8 +857,9 @@ impl Runtime {
         } else {
             s.faults.inc();
             s.faults_by_policy[meta.policy.lock().index()].inc();
-            // A coalesced run is dispatched, not owner-served: its
-            // synchronous first fault counts as a fast-path miss.
+            // Reaching here means the ownership fast path did not apply
+            // (or was not attempted, as for a coalesced run): the
+            // synchronous first fault pays a runtime crossing.
             s.owner_misses.inc();
             if count > 1 {
                 s.prefetches.add(count - 1);
@@ -1040,10 +899,18 @@ impl Runtime {
                 }
                 n += 1;
             }
-            let mut part =
-                self.read_run_from_node(t, meta, first + i, n, node, my_node, collective, ctx)?;
-            i += part.len() as u64;
-            out.append(&mut part);
+            self.read_run_from_node(
+                t,
+                meta,
+                first + i,
+                n,
+                node,
+                my_node,
+                collective,
+                ctx,
+                &mut out,
+            )?;
+            i += n;
         }
         let done = out.iter().map(|x| x.1).max().unwrap_or(t);
         if count > 1 {
@@ -1065,11 +932,15 @@ impl Runtime {
     }
 
     /// One ranged MemoryTask: `n` contiguous same-shard pages believed
-    /// resident on `node`. Pays one batched run-queue crossing for the
-    /// whole run; device charges chain per page on the holder's timeline
-    /// and remote runs pay the network per page (the data still moves). A
-    /// page that vanished between the directory lookup and the read falls
-    /// back to the backend.
+    /// resident on `node`, appended to `out` in page order. Pays one
+    /// batched run-queue crossing for the whole run; device charges chain
+    /// per page on the holder's timeline and remote runs pay the network
+    /// per page (the data still moves).
+    /// Every page the holder serves counts as one of its
+    /// `scope.node_touches`. A page that vanished between the directory
+    /// lookup and the read (an eviction racing the fault) is re-served
+    /// from the backend at the time the holder's timeline reached it —
+    /// for the first page, the dispatch completion.
     #[allow(clippy::too_many_arguments)]
     fn read_run_from_node(
         &self,
@@ -1081,7 +952,8 @@ impl Runtime {
         my_node: usize,
         collective: Option<usize>,
         ctx: TraceCtx,
-    ) -> Result<Vec<(Bytes, SimTime)>> {
+        out: &mut Vec<(Bytes, SimTime)>,
+    ) -> Result<()> {
         let bytes_hint = meta.page_size * n;
         let ws = self.dispatch_batch(node, BlobId::new(meta.id, first), n, bytes_hint, t, 0, ctx);
         // Each same-holder slice is one ranged MemoryTask: hang its pages'
@@ -1101,13 +973,13 @@ impl Runtime {
             ctx
         };
         let replicate = meta.policy.lock().replicates();
-        let mut out = Vec::with_capacity(n as usize);
         let mut dev = ws;
         for k in 0..n {
             let id = BlobId::new(meta.id, first + k);
             match self.inner.nodes[node].dmsh.get_traced(dev, id, run_ctx) {
                 Ok((data, dev_done)) => {
                     dev = dev_done;
+                    self.inner.nodes[node].touches.inc();
                     let done = if node == my_node {
                         self.inner.stats.local_reads.inc();
                         dev_done
@@ -1122,6 +994,10 @@ impl Runtime {
                             collective,
                             run_ctx,
                         );
+                        // Read-Only Global: replicate locally so future
+                        // reads are node-local (a refcount bump, not a
+                        // copy); register the replica only if the install
+                        // succeeded — a full DMSH just keeps reads remote.
                         if replicate
                             && self.inner.nodes[my_node]
                                 .dmsh
@@ -1148,7 +1024,7 @@ impl Runtime {
                 Err(e) => return Err(e.into()),
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Network completion for a remote read; collective reads use a
@@ -1663,6 +1539,20 @@ mod tests {
         (cluster, rt)
     }
 
+    /// One synchronous single-page fault: a run of length 1.
+    fn read_one(
+        rt: &Runtime,
+        now: SimTime,
+        m: &VectorMeta,
+        page: u64,
+        my_node: usize,
+        collective: Option<usize>,
+    ) -> Result<(Bytes, SimTime)> {
+        let mut run =
+            rt.read_page_run_traced(now, m, page, 1, my_node, collective, false, TraceCtx::NONE)?;
+        Ok(run.remove(0))
+    }
+
     #[test]
     fn vector_registry_idempotent() {
         let (_c, rt) = runtime(2);
@@ -1697,7 +1587,7 @@ mod tests {
         dirty.insert(100, 200);
         let t = rt.write_page_diff(0, &m, 0, &data, &dirty, 0).unwrap();
         assert!(t > 0);
-        let (read, rt_done) = rt.read_page(t, &m, 0, 0, None, false).unwrap();
+        let (read, rt_done) = read_one(&rt, t, &m, 0, 0, None).unwrap();
         assert!(rt_done >= t);
         assert_eq!(&read[100..200], &[7u8; 100]);
         assert_eq!(&read[0..100], &[0u8; 100]);
@@ -1721,7 +1611,7 @@ mod tests {
         r1.insert(ps as u64 / 2, ps as u64);
         let t0 = rt.write_page_diff(0, &m, 0, &d0, &r0, 0).unwrap();
         let t1 = rt.write_page_diff(0, &m, 0, &d1, &r1, 1).unwrap();
-        let (read, _) = rt.read_page(t0.max(t1), &m, 0, 0, None, false).unwrap();
+        let (read, _) = read_one(&rt, t0.max(t1), &m, 0, 0, None).unwrap();
         assert!(read[..ps / 2].iter().all(|&b| b == 0xAA));
         assert!(read[ps / 2..].iter().all(|&b| b == 0xBB));
     }
@@ -1730,7 +1620,7 @@ mod tests {
     fn fresh_page_reads_zero() {
         let (_c, rt) = runtime(1);
         let m = rt.open_or_create_vector("mem://zeros", 8, None, Some(1024)).unwrap();
-        let (data, _) = rt.read_page(0, &m, 0, 0, None, false).unwrap();
+        let (data, _) = read_one(&rt, 0, &m, 0, 0, None).unwrap();
         assert!(data.iter().all(|&b| b == 0));
         assert_eq!(data.len(), m.page_size as usize);
     }
@@ -1745,8 +1635,8 @@ mod tests {
         dirty.insert(0, ps as u64);
         // Node 0 writes the page (home = node 0 under Local policy).
         let t = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
-        let (_, local_done) = rt.read_page(t, &m, 0, 0, None, false).unwrap();
-        let (_, remote_done) = rt.read_page(t, &m, 0, 1, None, false).unwrap();
+        let (_, local_done) = read_one(&rt, t, &m, 0, 0, None).unwrap();
+        let (_, remote_done) = read_one(&rt, t, &m, 0, 1, None).unwrap();
         assert!(remote_done > local_done, "remote {remote_done} vs local {local_done}");
         let s = rt.stats();
         assert_eq!(s.remote_reads, 1);
@@ -1764,12 +1654,12 @@ mod tests {
         let t = rt.write_page_diff(0, &m, 0, &vec![5u8; ps], &dirty, 0).unwrap();
         *m.policy.lock() = Policy::ReadOnlyGlobal;
         // First remote read replicates onto node 1.
-        rt.read_page(t, &m, 0, 1, None, false).unwrap();
+        read_one(&rt, t, &m, 0, 1, None).unwrap();
         let id = BlobId::new(m.id, 0);
         assert!(rt.inner.nodes[1].dmsh.contains(id), "replica created on node 1");
         // Second read from node 1 is local.
         let before = rt.stats().remote_reads;
-        rt.read_page(t + 1_000_000, &m, 0, 1, None, false).unwrap();
+        read_one(&rt, t + 1_000_000, &m, 0, 1, None).unwrap();
         assert_eq!(rt.stats().remote_reads, before, "served by local replica");
         // Phase change wipes the replica.
         rt.invalidate_replicas(&m);
@@ -1786,8 +1676,8 @@ mod tests {
         let mut dirty = RangeSet::new();
         dirty.insert(0, ps as u64);
         let t = rt.write_page_diff(0, &m, 0, &vec![1u8; ps], &dirty, 0).unwrap();
-        let (_, coll) = rt.read_page(t, &m, 0, 1, Some(4), false).unwrap();
-        let (_, uni) = rt.read_page(t, &m, 0, 2, None, false).unwrap();
+        let (_, coll) = read_one(&rt, t, &m, 0, 1, Some(4)).unwrap();
+        let (_, uni) = read_one(&rt, t, &m, 0, 2, None).unwrap();
         // Both are remote; the collective one pays log2(4)=2 message times
         // without NIC serialization, so for one reader it is comparable,
         // but it must not reserve the NIC (no queueing impact).
@@ -1861,7 +1751,7 @@ mod tests {
         // Rank 0 no longer owns the page: its fast read must miss.
         assert!(rt.read_page_fast(t2, &m, 0, 0).is_none());
         // Contents reflect the last writer regardless of path.
-        let (data, _) = rt.read_page(t2, &m, 0, 0, None, false).unwrap();
+        let (data, _) = read_one(&rt, t2, &m, 0, 0, None).unwrap();
         assert!(data.iter().all(|&b| b == 3));
     }
 
@@ -1878,7 +1768,7 @@ mod tests {
             t = rt.write_page_diff(t, &m, page, &vec![page as u8; ps], &dirty, 0).unwrap();
         }
         let before = rt.stats();
-        let parts = rt.read_page_run(t, &m, 0, 8, 0, None).unwrap();
+        let parts = rt.read_page_run_traced(t, &m, 0, 8, 0, None, false, TraceCtx::NONE).unwrap();
         assert_eq!(parts.len(), 8);
         for (page, (data, _)) in parts.iter().enumerate() {
             assert!(data.iter().all(|&b| b == page as u8), "page {page}");
@@ -1902,11 +1792,11 @@ mod tests {
         obj.write_at(0, &vec![9u8; 5000]).unwrap();
         let m = rt.open_or_create_vector("obj://bkt/data.bin", 1, Some(4096), None).unwrap();
         assert_eq!(m.len_elems(), 5000);
-        let (page0, t) = rt.read_page(0, &m, 0, 0, None, false).unwrap();
+        let (page0, t) = read_one(&rt, 0, &m, 0, 0, None).unwrap();
         assert!(t > 0);
         assert!(page0.iter().all(|&b| b == 9));
         // Page 1 covers bytes 4096..8192 but only 5000 exist: tail zeros.
-        let (page1, _) = rt.read_page(0, &m, 1, 0, None, false).unwrap();
+        let (page1, _) = read_one(&rt, 0, &m, 1, 0, None).unwrap();
         assert!(page1[..904].iter().all(|&b| b == 9));
         assert!(page1[904..].iter().all(|&b| b == 0));
         assert!(rt.stats().staged_in > 0);
@@ -1955,7 +1845,7 @@ mod tests {
         // All 32 pages readable with correct contents.
         let done = rt.flush_vector(t, &m).unwrap();
         for page in [0u64, 10, 31] {
-            let (data, _) = rt.read_page(done, &m, page, 0, None, false).unwrap();
+            let (data, _) = read_one(&rt, done, &m, page, 0, None).unwrap();
             assert!(data.iter().all(|&b| b == page as u8), "page {page}");
         }
         assert!(rt.stats().staged_out > 0, "overflow must have staged out");

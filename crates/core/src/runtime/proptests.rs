@@ -42,6 +42,11 @@ fn prepared(seed: u64, written: &[bool]) -> (Cluster, Runtime, Arc<VectorMeta>) 
     (cluster, rt, m)
 }
 
+/// Per-node `scope.node_touches` totals.
+fn node_touches(rt: &Runtime) -> Vec<u64> {
+    (0..rt.nodes()).map(|n| rt.node(n).touches.get()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -57,15 +62,19 @@ proptest! {
         let base_a = rt_a.stats();
         let mut pages_a = Vec::new();
         for page in 0..count {
-            let (data, _) = rt_a.read_page(10_000, &m_a, page, 0, None, false).unwrap();
-            pages_a.push(data);
+            let mut one = rt_a
+                .read_page_run_traced(10_000, &m_a, page, 1, 0, None, false, TraceCtx::NONE)
+                .unwrap();
+            pages_a.push(one.remove(0).0);
         }
         let s_a = rt_a.stats();
 
         // Runtime B: the whole run in one batched submission.
         let (_cb, rt_b, m_b) = prepared(seed, &written);
         let base_b = rt_b.stats();
-        let pages_b = rt_b.read_page_run(10_000, &m_b, 0, count, 0, None).unwrap();
+        let pages_b = rt_b
+            .read_page_run_traced(10_000, &m_b, 0, count, 0, None, false, TraceCtx::NONE)
+            .unwrap();
         let s_b = rt_b.stats();
 
         // Byte-identical contents, page by page.
@@ -91,6 +100,14 @@ proptest! {
         // The run is one crossing iff it actually coalesced.
         let crossings = s_b.batched_crossings - base_b.batched_crossings;
         prop_assert_eq!(crossings, u64::from(count > 1));
+        // The same pages were served by the same holders: per-node load
+        // attribution and the local/remote split agree exactly.
+        prop_assert_eq!(node_touches(&rt_a), node_touches(&rt_b));
+        prop_assert_eq!(s_a.local_reads - base_a.local_reads, s_b.local_reads - base_b.local_reads);
+        prop_assert_eq!(
+            s_a.remote_reads - base_a.remote_reads,
+            s_b.remote_reads - base_b.remote_reads
+        );
         // Neither path may copy page payloads.
         prop_assert_eq!(s_a.bytes_copied - base_a.bytes_copied, 0);
         prop_assert_eq!(s_b.bytes_copied - base_b.bytes_copied, 0);

@@ -701,45 +701,30 @@ impl<T: Element> MmVec<T> {
         }
         let ctx = tel.trace_begin(p.node() as u32);
         tel.trace_child(ctx, Stage::MissDetect, fault_at, fault_at, p.node() as u32, 0, "", page);
-        if run > 1 {
-            let parts = self.rt.read_page_run_traced(
-                p.now(),
-                &self.meta,
-                page,
-                run,
-                p.node(),
-                collective,
-                false,
-                ctx,
-            )?;
-            let mut iter = parts.into_iter();
-            let (data, done) =
-                iter.next().ok_or(MmError::Internal("ranged read returned no pages"))?;
-            // Extras land as prefetched pages with their own ready time;
-            // insert them first so the faulting page stays the fast-path
-            // `last` entry.
-            for (k, (extra, ready)) in iter.enumerate() {
-                let mut cp = CachedPage::new(PageBuf::shared(extra), ready);
-                cp.prefetched = true;
-                st.pcache.insert(page + 1 + k as u64, cp);
-            }
-            p.advance_to(done);
-            st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
-        } else {
-            let (data, done) = self.rt.read_page_traced(
-                p.now(),
-                &self.meta,
-                page,
-                p.node(),
-                collective,
-                false,
-                ctx,
-            )?;
-            p.advance_to(done);
-            // The device/worker/network charges above already model shipping
-            // the page; installing it is a refcount bump, not a copy.
-            st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
+        let parts = self.rt.read_page_run_traced(
+            p.now(),
+            &self.meta,
+            page,
+            run,
+            p.node(),
+            collective,
+            false,
+            ctx,
+        )?;
+        let mut iter = parts.into_iter();
+        let (data, done) = iter.next().ok_or(MmError::Internal("ranged read returned no pages"))?;
+        // Coalesced extras land as prefetched pages with their own ready
+        // time; insert them first so the faulting page stays the fast-path
+        // `last` entry.
+        for (k, (extra, ready)) in iter.enumerate() {
+            let mut cp = CachedPage::new(PageBuf::shared(extra), ready);
+            cp.prefetched = true;
+            st.pcache.insert(page + 1 + k as u64, cp);
         }
+        p.advance_to(done);
+        // The device/worker/network charges above already model shipping
+        // the page; installing it is a refcount bump, not a copy.
+        st.pcache.insert(page, CachedPage::new(PageBuf::shared(data), p.now()));
         if !ctx.is_none() {
             let policy = self.policy_name();
             tel.trace_end(
@@ -963,48 +948,6 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
         self.st.pcache.contains(page)
     }
 
-    fn issue_prefetch(&mut self, page: u64) {
-        if !self.make_prefetch_room() {
-            return; // nothing reclaimable; skip this prefetch
-        }
-        let collective = self.st.tx.as_ref().and_then(|tx| tx.collective);
-        let tel = self.vec.rt.telemetry();
-        let issued = self.p.now();
-        let ctx = tel.trace_begin(self.p.node() as u32);
-        let end_trace = |ready_at, bytes| {
-            if !ctx.is_none() {
-                let policy = self.vec.policy_name();
-                tel.trace_end(
-                    ctx,
-                    Stage::Prefetch,
-                    issued,
-                    ready_at,
-                    self.p.node() as u32,
-                    bytes,
-                    policy,
-                    page,
-                );
-            }
-        };
-        match self.vec.rt.read_page_traced(
-            self.p.now(),
-            &self.vec.meta,
-            page,
-            self.p.node(),
-            collective,
-            true,
-            ctx,
-        ) {
-            Ok((data, ready_at)) => {
-                end_trace(ready_at, data.len() as u64);
-                let mut cp = CachedPage::new(PageBuf::shared(data), ready_at);
-                cp.prefetched = true;
-                self.st.pcache.insert(page, cp);
-            }
-            Err(_) => end_trace(issued, 0), // prefetch is best-effort
-        }
-    }
-
     fn issue_prefetch_run(&mut self, first: u64, count: u64) {
         // One batched crossing per chunk: the run is split at the coalesce
         // bound (which also keeps each chunk inside one fault shard's
@@ -1014,11 +957,6 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
         let mut start = first;
         while start < end {
             let n = max.min(end - start);
-            if n == 1 {
-                self.issue_prefetch(start);
-                start += 1;
-                continue;
-            }
             if !self.make_prefetch_room() {
                 return; // nothing reclaimable; skip the rest of the run
             }
@@ -1026,7 +964,7 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
             let tel = self.vec.rt.telemetry();
             let issued = self.p.now();
             let ctx = tel.trace_begin(self.p.node() as u32);
-            match self.vec.rt.read_page_run_traced(
+            let (ready, bytes) = match self.vec.rt.read_page_run_traced(
                 issued,
                 &self.vec.meta,
                 start,
@@ -1044,37 +982,24 @@ impl<T: Element> PrefetchEnv for VecEnv<'_, T> {
                         cp.prefetched = true;
                         self.st.pcache.insert(start + k as u64, cp);
                     }
-                    if !ctx.is_none() {
-                        let policy = self.vec.policy_name();
-                        tel.trace_end(
-                            ctx,
-                            Stage::Prefetch,
-                            issued,
-                            ready,
-                            self.p.node() as u32,
-                            bytes,
-                            policy,
-                            start,
-                        );
-                    }
+                    (ready, bytes)
                 }
-                Err(_) => {
-                    // Best-effort, like the single-page path: drop the span
-                    // and move on to the next chunk.
-                    if !ctx.is_none() {
-                        let policy = self.vec.policy_name();
-                        tel.trace_end(
-                            ctx,
-                            Stage::Prefetch,
-                            issued,
-                            issued,
-                            self.p.node() as u32,
-                            0,
-                            policy,
-                            start,
-                        );
-                    }
-                }
+                // Best-effort: close the span empty and move on to the
+                // next chunk.
+                Err(_) => (issued, 0),
+            };
+            if !ctx.is_none() {
+                let policy = self.vec.policy_name();
+                tel.trace_end(
+                    ctx,
+                    Stage::Prefetch,
+                    issued,
+                    ready,
+                    self.p.node() as u32,
+                    bytes,
+                    policy,
+                    start,
+                );
             }
             start += n;
         }

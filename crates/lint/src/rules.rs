@@ -401,7 +401,6 @@ const FAULT_ROOTS: &[&str] = &[
     "commit_dirty",
     "evict_page",
     "make_room",
-    "read_page_traced",
     "read_page_run_traced",
     "write_page_diff_traced",
     "write_page_full_traced",
@@ -768,7 +767,7 @@ mod tests {
     fn traced_fault_path_fn_passes() {
         let m = file(
             "crates/core/src/runtime/mod.rs",
-            "pub fn read_page_traced(&self, now: u64, ctx: TraceCtx) -> Bytes { go(now, ctx) }",
+            "pub fn read_page_run_traced(&self, now: u64, ctx: TraceCtx) -> Bytes { go(now, ctx) }",
         );
         assert!(trace_propagation(&[m]).is_empty());
     }
